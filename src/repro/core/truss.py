@@ -14,13 +14,22 @@ from collections.abc import Iterator
 from repro._ordering import Pattern
 from repro.graphs.components import connected_components
 from repro.graphs.csr import GraphLike, as_graph
-from repro.graphs.graph import Edge, Vertex
+from repro.graphs.graph import Edge, Graph, Vertex
 
 
 class PatternTruss:
-    """A (maximal) pattern truss: pattern + subgraph + frequencies + α."""
+    """A (maximal) pattern truss: pattern + subgraph + frequencies + α.
 
-    __slots__ = ("pattern", "graph", "frequencies", "alpha")
+    Built eagerly from a graph, or lazily over a TC-Tree node's level
+    view (:meth:`from_view`): then sizes and communities come from the
+    view's cut, and the ``graph`` and ``frequencies`` are derived only
+    when first read.
+    """
+
+    __slots__ = (
+        "pattern", "alpha", "_graph", "_frequencies", "_node", "_cut",
+        "_slices",
+    )
 
     def __init__(
         self,
@@ -33,35 +42,81 @@ class PatternTruss:
         # CSR carriers from the fast path normalize to the mutable
         # front-end so downstream consumers (components, export, search)
         # see one graph type.
-        self.graph = as_graph(graph)
+        self._graph = as_graph(graph)
         # Keep only frequencies of surviving vertices: the truss is
         # self-contained for decomposition and reporting.
-        self.frequencies = {
+        self._frequencies = {
             v: frequencies[v] for v in graph if v in frequencies
         }
         self.alpha = alpha
+        self._node = None
+
+    @classmethod
+    def from_view(cls, node, alpha: float) -> "PatternTruss":
+        """``C*_p(α)`` of a :class:`~repro.index.levelview.NodeView`."""
+        truss = cls.__new__(cls)
+        truss.pattern = node.pattern
+        truss.alpha = alpha
+        truss._graph = None
+        truss._frequencies = None
+        truss._node = node
+        truss._cut = node.view.cut(alpha)
+        truss._slices = None
+        return truss
+
+    @property
+    def graph(self) -> Graph:
+        if self._graph is None:
+            self._graph = self._node.view.graph(self._cut)
+        return self._graph
+
+    @property
+    def frequencies(self) -> dict[Vertex, float]:
+        if self._frequencies is None:
+            node = self._node
+            self._frequencies = node.summarize(
+                node.frequencies, node.view, self._cut
+            )
+        return self._frequencies
 
     # ------------------------------------------------------------------
     @property
     def num_vertices(self) -> int:
-        return self.graph.num_vertices
+        if self._node is not None:
+            return self._node.view.num_vertices(self._cut)
+        return self._graph.num_vertices
 
     @property
     def num_edges(self) -> int:
-        return self.graph.num_edges
+        if self._node is not None:
+            return self._node.view.num_edges(self._cut)
+        return self._graph.num_edges
 
     def is_empty(self) -> bool:
-        return self.graph.num_edges == 0
+        return self.num_edges == 0
 
     def vertices(self) -> set[Vertex]:
-        return set(self.graph.vertices())
+        if self._node is not None:
+            return set(self._node.view.vertices(self._cut))
+        return set(self._graph.vertices())
 
     def edges(self) -> set[Edge]:
-        return set(self.graph.iter_edges())
+        if self._node is not None:
+            return {
+                (u, v) if u <= v else (v, u)
+                for u, v in self._node.view.edges(self._cut)
+            }
+        return set(self._graph.iter_edges())
 
     def communities(self) -> list[set[Vertex]]:
-        """Theme communities: maximal connected subgraphs (Definition 3.5)."""
-        return connected_components(self.graph)
+        """Theme communities: maximal connected subgraphs (Definition 3.5),
+        largest first, ties by least member."""
+        if self._node is None:
+            return connected_components(self._graph)
+        view = self._node.view
+        if self._slices is None:
+            self._slices = view.slices(self._cut)
+        return [set(view.members(*piece)) for piece in self._slices]
 
     def iter_communities(self) -> Iterator[set[Vertex]]:
         yield from self.communities()

@@ -25,7 +25,6 @@ from itertools import compress
 
 from repro._ordering import Pattern, make_pattern
 from repro.core.mptd import COHESION_TOLERANCE
-from repro.core.truss import PatternTruss
 from repro.edgenet.cohesion import edge_theme_cohesion_table
 from repro.edgenet.network import EdgeDatabaseNetwork
 from repro.edgenet.theme import EdgeFrequencyMap, induce_edge_theme_network
@@ -44,6 +43,7 @@ from repro.index.decomposition import (
     MaskedCarrier,
     _PendingProjection,
 )
+from repro.index.levelview import NodeView, edge_vertex_frequencies
 
 #: An edge decomposition reuses the network CSR (shared cached triangle
 #: index, no subgraph build) only when the theme covers most of it —
@@ -93,6 +93,15 @@ class EdgeTrussDecomposition(CarrierProtocol):
     #: How this decomposition was computed (``"<graph choice>+<engine>"``,
     #: e.g. ``"carrier-projected+csr"``). Diagnostic only.
     route: str | None = field(default=None, repr=False, compare=False)
+    #: Memoised :meth:`node_view` (the serving view of the levels).
+    _node: NodeView | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: Trusses carry per-vertex *summary* frequencies (max incident
+    #: ``f_e``, the reporting convention of
+    #: :func:`repro.edgenet.finder.edge_tcfi`); the authoritative
+    #: per-edge frequencies stay on :attr:`frequencies`.
+    _summarize = staticmethod(edge_vertex_frequencies)
 
     def is_empty(self) -> bool:
         return not self.levels
@@ -125,24 +134,6 @@ class EdgeTrussDecomposition(CarrierProtocol):
         for u, v in self.edges_at(alpha):
             graph.add_edge(u, v)
         return graph
-
-    def truss_at(self, alpha: float) -> PatternTruss:
-        """``C*_p(α)`` as a :class:`PatternTruss` for the query layer.
-
-        The truss carries per-vertex *summary* frequencies (max incident
-        ``f_e``, the reporting convention of
-        :func:`repro.edgenet.finder.edge_tcfi`); the authoritative
-        per-edge frequencies stay on :attr:`frequencies`.
-        """
-        graph = self.graph_at(alpha)
-        view: dict = {}
-        for (u, v), f in self.frequencies.items():
-            if graph.has_edge(u, v):
-                if f > view.get(u, 0.0):
-                    view[u] = f
-                if f > view.get(v, 0.0):
-                    view[v] = f
-        return PatternTruss(self.pattern, graph, view, alpha)
 
     # ------------------------------------------------------------------
     # the shared TC-Tree frontier-carrier protocol (CarrierProtocol)

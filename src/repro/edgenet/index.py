@@ -33,7 +33,6 @@ from repro.edgenet.decomposition import (
 )
 from repro.edgenet.network import EdgeDatabaseNetwork
 from repro.errors import TCIndexError
-from repro.graphs.components import connected_components
 from repro.graphs.csr import GraphLike
 from repro.index.query import QueryAnswer, query_tc_tree
 from repro.index.tcnode import TCNode
@@ -168,7 +167,7 @@ class EdgeTCTree(TCTree):
         """Theme communities (connected components) matching a query."""
         communities: list[tuple[Pattern, set]] = []
         for truss in self.query(pattern, alpha).trusses:
-            for component in connected_components(truss.graph):
+            for component in truss.communities():
                 communities.append((truss.pattern, component))
         return communities
 

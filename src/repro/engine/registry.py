@@ -126,6 +126,8 @@ class ModelSpec:
     frequency_entry_bytes: int = 16
     encode_payload: Callable | None = None
     decode_payload: Callable | None = None
+    #: ``(pattern, blob) -> NodeView`` — the serving cache's fill path.
+    view_payload: Callable | None = None
     #: ``(snapshot) -> tree`` — decode every node into the in-memory
     #: tree class of this model.
     materialize: Callable | None = None
@@ -344,6 +346,7 @@ def _vertex_spec() -> ModelSpec:
         VERSION,
         _decode_payload,
         _encode_payload,
+        _view_payload,
     )
 
     return ModelSpec(
@@ -366,6 +369,7 @@ def _vertex_spec() -> ModelSpec:
         frequency_entry_bytes=16,
         encode_payload=_encode_payload,
         decode_payload=_decode_payload,
+        view_payload=_view_payload,
         materialize=lambda snapshot: snapshot.materialize().tree,
         cutovers=(
             CutoverSpec(
@@ -413,6 +417,7 @@ def _edge_spec() -> ModelSpec:
         FLAG_EDGE,
         _decode_edge_payload,
         _encode_edge_payload,
+        _view_edge_payload,
     )
 
     def edge_warm(network, items) -> None:
@@ -449,6 +454,7 @@ def _edge_spec() -> ModelSpec:
         frequency_entry_bytes=24,
         encode_payload=_encode_edge_payload,
         decode_payload=_decode_edge_payload,
+        view_payload=_view_edge_payload,
         materialize=lambda snapshot: snapshot.materialize_edge_tree(),
         cutovers=(
             CutoverSpec(

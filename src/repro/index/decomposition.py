@@ -44,6 +44,7 @@ from repro.graphs.support import (
     projection_enabled,
     triangle_index,
 )
+from repro.index.levelview import LevelView, NodeView, vertex_frequencies
 from repro.network.dbnetwork import DatabaseNetwork
 from repro.network.theme import (
     induce_theme_network,
@@ -156,10 +157,37 @@ class CarrierProtocol:
     (:meth:`frontier_carrier`), and pickling flattens a live CSR capture
     to its canonical edge list (:meth:`__getstate__`). Keeping the
     protocol in one place means a lifecycle fix cannot silently diverge
-    between the models. Subclasses supply the engine cutover and the
-    adjacency-set fallback; they must define ``carrier0``, ``num_edges``,
-    and ``edges_at``.
+    between the models. Both models also answer queries the same way,
+    from a memoised level view (:meth:`truss_at`). Subclasses supply the
+    engine cutover, the adjacency-set fallback and the frequency summary;
+    they must define ``pattern``, ``levels``, ``frequencies``, ``_node``,
+    ``carrier0``, ``num_edges`` and ``edges_at``.
     """
+
+    #: How a truss of this model summarizes its frequencies per vertex.
+    _summarize = staticmethod(vertex_frequencies)
+
+    def node_view(self) -> NodeView:
+        """This decomposition as a served :class:`NodeView`, built on
+        first use and memoised (``_node``; excluded from equality and
+        pickles). Levels never change after construction, so the memo
+        cannot go stale; a concurrent first use builds it twice at
+        worst, and either copy answers identically."""
+        node = self._node
+        if node is None:
+            node = NodeView(
+                self.pattern,
+                LevelView.from_levels(self.levels),
+                self.frequencies,
+                self._summarize,
+            )
+            self._node = node
+        return node
+
+    def truss_at(self, alpha: float) -> PatternTruss:
+        """``C*_p(α)`` as a lazy :class:`PatternTruss` over the level
+        view: no graph is built unless the caller reads ``.graph``."""
+        return self.node_view().truss_at(alpha)
 
     def _engine_cutover(self) -> int:
         """Edge count below which carriers stay adjacency-set graphs."""
@@ -226,6 +254,7 @@ class CarrierProtocol:
         O(m log m) from-levels rebuild per sibling carrier it touches.
         """
         state = self.__dict__.copy()
+        state["_node"] = None
         carrier = state.get("carrier0")
         if isinstance(carrier, (CSRGraph, _PendingProjection)):
             state["carrier0"] = carrier.edges()
@@ -259,6 +288,10 @@ class TrussDecomposition(CarrierProtocol):
     #: :func:`decompose_theme` was called directly. Diagnostic only: the
     #: cutover boundary tests assert on it; excluded from equality.
     route: str | None = field(default=None, repr=False, compare=False)
+    #: Memoised :meth:`node_view` (the serving view of the levels).
+    _node: NodeView | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     def is_empty(self) -> bool:
@@ -296,20 +329,13 @@ class TrussDecomposition(CarrierProtocol):
                 edges.extend(level.removed_edges)
         return edges
 
-    def truss_at(self, alpha: float) -> PatternTruss:
-        """Materialize ``C*_p(α)`` as a :class:`PatternTruss`."""
-        graph = Graph()
-        for u, v in self.edges_at(alpha):
-            graph.add_edge(u, v)
-        return PatternTruss(self.pattern, graph, self.frequencies, alpha)
-
     def _engine_cutover(self) -> int:
         # Read the module global at call time so tests (and tuning) that
         # patch ``decomposition.CSR_MIN_EDGES`` take effect immediately.
         return CSR_MIN_EDGES
 
     def _graph0(self) -> Graph:
-        return self.truss_at(0.0).graph
+        return Graph(self.edges_at(0.0))
 
     def __repr__(self) -> str:
         return (

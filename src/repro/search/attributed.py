@@ -66,6 +66,9 @@ def attributed_community_search(
     attributes = make_pattern(query_attributes)
     if not attributes:
         raise MiningError("need at least one query attribute")
+    if limit is not None and limit < 0:
+        # A negative slice bound would silently drop the last matches.
+        raise MiningError(f"limit must be >= 0, got {limit}")
 
     if hasattr(source, "theme_strength"):
         answer = source.query(pattern=attributes, alpha=alpha)

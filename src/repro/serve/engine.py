@@ -4,8 +4,10 @@ Answers ``(q, α)`` queries against a binary snapshot without ever
 materializing the whole tree: the traversal runs Algorithm 5 over the
 snapshot's table of contents, pruning item-disjoint subtrees and
 empty-truss subtrees (Proposition 5.2) from TOC data alone, and decodes a
-node's decomposition — through a thread-safe LRU carrier cache — only
-when the node is actually retrieved.
+node's payload — into a :class:`~repro.index.levelview.NodeView`, through
+a thread-safe carrier cache — only when the node is actually retrieved.
+A warm query then costs a bisection and a forest scan per node: the
+truss is a lazy view over the cut, and no graph is rebuilt.
 
 Answers are bit-identical to :func:`repro.index.query.query_tc_tree` on
 the in-memory tree: same trusses, same ``retrieved_nodes``, same
@@ -29,7 +31,7 @@ from repro._ordering import make_pattern
 from repro.core.communities import ThemeCommunity
 from repro.core.mptd import COHESION_TOLERANCE
 from repro.errors import TCIndexError
-from repro.index.decomposition import TrussDecomposition
+from repro.index.levelview import NodeView
 from repro.index.query import QueryAnswer, query_tc_tree
 from repro.index.tctree import TCTree
 from repro.obs.metrics import default_registry
@@ -45,7 +47,13 @@ QuerySpec = tuple[Sequence[int] | None, float]
 
 
 class CarrierCache:
-    """Thread-safe LRU map from snapshot node index to its decomposition.
+    """Thread-safe map from snapshot node index to its :class:`NodeView`.
+
+    Eviction is LRU, but insertion is scan-resistant (LIP: a missed
+    entry enters at the LRU end and moves to the MRU end only when it
+    is hit). A query over a tree larger than the cache then cycles one
+    slot instead of flushing the whole cache: on a 1913-node tree with a
+    1024-entry cache, repeated full queries under plain LRU never hit.
 
     Decoding happens outside the lock (it is pure and idempotent), so a
     rare concurrent miss on the same node costs one duplicate decode
@@ -66,7 +74,7 @@ class CarrierCache:
         self._lock = threading.Lock()
         self._hits = 0  # guarded-by: self._lock
         self._misses = 0  # guarded-by: self._lock
-        self._entries: OrderedDict[int, TrussDecomposition] = (
+        self._entries: OrderedDict[int, NodeView] = (
             OrderedDict()
         )  # guarded-by: self._lock
 
@@ -84,7 +92,7 @@ class CarrierCache:
         with self._lock:
             return self._misses
 
-    def get(self, key: int) -> TrussDecomposition | None:
+    def get(self, key: int) -> NodeView | None:
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -94,12 +102,16 @@ class CarrierCache:
             self._hits += 1
             return entry
 
-    def put(self, key: int, value: TrussDecomposition) -> None:
+    def put(self, key: int, value: NodeView) -> None:
         with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+            entries = self._entries
+            if key in entries:  # a concurrent duplicate fill
+                entries[key] = value
+                return
+            if len(entries) >= self.capacity:
+                entries.popitem(last=False)
+            entries[key] = value
+            entries.move_to_end(key, last=False)
 
     def stats(self) -> dict[str, int]:
         with self._lock:
@@ -198,8 +210,9 @@ class IndexedWarehouse:
         self._queries_served = 0  # guarded-by: self._count_lock
         self._count_lock = threading.Lock()
         # Aggregate per-query breakdown (snapshot backend): where query
-        # wall time goes — TOC walk + prunes vs payload decode — and the
-        # node-level traversal counters behind it. Cumulative across
+        # wall time goes — TOC walk + prunes, cache fill (payload parse
+        # plus view build), and view work (cut plus communities) — and
+        # the node-level traversal counters behind it. Cumulative across
         # generations (it describes the engine, not one index).
         self._qstats = {  # guarded-by: self._count_lock
             "queries": 0,
@@ -209,6 +222,7 @@ class IndexedWarehouse:
             "retrieved_nodes": 0,
             "toc_seconds": 0.0,
             "decode_seconds": 0.0,
+            "view_seconds": 0.0,
         }
 
     # ------------------------------------------------------------------
@@ -438,7 +452,7 @@ class IndexedWarehouse:
             index = generation.snapshot.node_index(key)
             if index is None:
                 return 0.0
-            return self._decomposition(generation, index).max_alpha
+            return self._node(generation, index).max_alpha
         node = generation.tree.find_node(key)  # type: ignore[union-attr]
         if node is None or node.decomposition is None:
             return 0.0
@@ -463,15 +477,13 @@ class IndexedWarehouse:
         )
 
     # ------------------------------------------------------------------
-    def _decomposition(
-        self, generation: ServingGeneration, index: int
-    ) -> TrussDecomposition:
+    def _node(self, generation: ServingGeneration, index: int) -> NodeView:
         cached = generation.cache.get(index)
         if cached is not None:
             return cached
-        decomposition = generation.snapshot.decode(index)  # type: ignore[union-attr]
-        generation.cache.put(index, decomposition)
-        return decomposition
+        node = generation.snapshot.view(index)  # type: ignore[union-attr]
+        generation.cache.put(index, node)
+        return node
 
     def _query_snapshot(
         self,
@@ -491,7 +503,7 @@ class IndexedWarehouse:
         bound = alpha + COHESION_TOLERANCE
 
         start = time.perf_counter()
-        decode_seconds = 0.0
+        decode_seconds = view_seconds = 0.0
         pruned_pattern = pruned_alpha = 0
         queue: deque[int] = deque([ROOT])
         while queue:
@@ -513,9 +525,16 @@ class IndexedWarehouse:
                     pruned_alpha += 1
                     continue
                 decode_start = time.perf_counter()
-                truss = self._decomposition(generation, child).truss_at(alpha)
-                decode_seconds += time.perf_counter() - decode_start
-                if truss.is_empty():
+                node = self._node(generation, child)
+                view_start = time.perf_counter()
+                truss = node.truss_at(alpha)
+                empty = truss.is_empty()
+                if not empty:
+                    truss.communities()  # memoised for the serializer
+                view_end = time.perf_counter()
+                decode_seconds += view_start - decode_start
+                view_seconds += view_end - view_start
+                if empty:
                     continue  # unreachable on well-formed snapshots
                 answer.trusses.append(truss)
                 answer.retrieved_nodes += 1
@@ -528,11 +547,13 @@ class IndexedWarehouse:
             qstats["pruned_pattern"] += pruned_pattern
             qstats["pruned_alpha"] += pruned_alpha
             qstats["retrieved_nodes"] += answer.retrieved_nodes
-            qstats["toc_seconds"] += total - decode_seconds
+            qstats["toc_seconds"] += total - decode_seconds - view_seconds
             qstats["decode_seconds"] += decode_seconds
+            qstats["view_seconds"] += view_seconds
         default_registry().histogram(
             "repro_query_decode_seconds",
-            help="Payload-decode share of snapshot query latency.",
+            help="Cache-fill share of snapshot query latency: payload "
+            "parse plus level-view build.",
         ).observe(decode_seconds)
         return answer
 

@@ -144,6 +144,9 @@ class WarehouseRequestHandler(BaseHTTPRequestHandler):
     """Routes requests to the server's shared engine."""
 
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY on accepted sockets: a response must not wait for the
+    #: client's delayed ACK (~40 ms) before its last segment leaves.
+    disable_nagle_algorithm = True
     server: "ThemeCommunityServer"
 
     # ------------------------------------------------------------------
@@ -154,8 +157,13 @@ class WarehouseRequestHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        if self.request_version == "HTTP/0.9":
+            self.wfile.write(body)  # HTTP/0.9 responses carry no headers
+            return
+        # Status line, headers and body leave in one write: a separate
+        # body send after the headers is what Nagle holds back.
+        self._headers_buffer.extend((b"\r\n", body))
+        self.flush_headers()
 
     def _send_json(self, payload: dict | list, status: int = 200) -> None:
         self._send_body(
@@ -463,6 +471,11 @@ class WarehouseRequestHandler(BaseHTTPRequestHandler):
                     "repro_engine_query_phase_seconds_total",
                     {"phase": "decode"},
                     breakdown.get("decode_seconds", 0.0),
+                ),
+                format_sample(
+                    "repro_engine_query_phase_seconds_total",
+                    {"phase": "view"},
+                    breakdown.get("view_seconds", 0.0),
                 ),
             ]
         )

@@ -32,6 +32,10 @@ child adjacency. ``prune_alphas`` mirrors the emptiness test of
 :meth:`~repro.index.decomposition.TrussDecomposition.edges_at` exactly:
 ``C*_p(α)`` is empty iff ``prune_alpha <= α + COHESION_TOLERANCE``, so
 the engine prunes Proposition 5.2 subtrees without touching the payload.
+Levels are stored in ascending threshold order, so ``C*_p(α)`` is a
+suffix of ``edge_u``/``edge_v``: the engine reads a retrieved payload
+straight into a level view (:mod:`repro.index.levelview`), with no
+per-edge objects.
 
 JSON (:class:`~repro.index.warehouse.ThemeCommunityWarehouse` documents)
 remains the compatible interchange format; :func:`migrate_json_to_snapshot`
@@ -51,6 +55,12 @@ from repro._ordering import Pattern
 from repro.engine import registry
 from repro.errors import TCIndexError
 from repro.index.decomposition import DecompositionLevel, TrussDecomposition
+from repro.index.levelview import (
+    LevelView,
+    NodeView,
+    edge_vertex_frequencies,
+    vertex_frequencies,
+)
 from repro.index.tcnode import TCNode
 from repro.index.tctree import TCTree
 from repro.obs.trace import span
@@ -167,90 +177,98 @@ def _encode_edge_payload(decomposition) -> bytes:
     )
 
 
+def _parse_payload(blob, key_arrays: int):
+    """Split a payload into its flat arrays (no per-edge objects).
+
+    ``key_arrays`` is the frequency-key shape: 1 (``vertices``, v1
+    vertex payloads) or 2 (``freq_u``/``freq_v``, v2 edge payloads).
+    Returns ``(keys, values, alphas, counts, edge_u, edge_v)`` with
+    ``keys`` a list of ``key_arrays`` arrays.
+    """
+    if len(blob) < _PAYLOAD_PREFIX.size:
+        raise TCIndexError("truncated snapshot payload")
+    num_freq, num_levels, num_edges = _PAYLOAD_PREFIX.unpack_from(blob, 0)
+    view = memoryview(blob)[_PAYLOAD_PREFIX.size:]
+
+    def take(typecode: str, count: int) -> array:
+        nonlocal view
+        section = _array_from(typecode, view, count)
+        view = view[count * 8:]
+        return section
+
+    keys = [take("q", num_freq) for _ in range(key_arrays)]
+    values = take("d", num_freq)
+    alphas = take("d", num_levels)
+    counts = take("Q", num_levels)
+    edge_u = take("q", num_edges)
+    edge_v = take("q", num_edges)
+    if sum(counts) != num_edges:
+        raise TCIndexError("snapshot level edge counts disagree with total")
+    return keys, values, alphas, counts, edge_u, edge_v
+
+
+def _levels_of(level_cls, alphas, counts, edge_u, edge_v) -> list:
+    """Tuple-list levels from flat arrays (the materialize path)."""
+    levels = []
+    cursor = 0
+    for alpha, count in zip(alphas, counts):
+        end = cursor + count
+        levels.append(
+            level_cls(alpha, list(zip(edge_u[cursor:end], edge_v[cursor:end])))
+        )
+        cursor = end
+    return levels
+
+
+def _edge_frequencies(keys, values) -> dict:
+    freq_u, freq_v = keys
+    return dict(zip(zip(freq_u, freq_v), values))
+
+
 def _decode_edge_payload(pattern: Pattern, blob):
     from repro.edgenet.decomposition import (
         EdgeDecompositionLevel,
         EdgeTrussDecomposition,
     )
 
-    if len(blob) < _PAYLOAD_PREFIX.size:
-        raise TCIndexError("truncated snapshot payload")
-    num_freq, num_levels, num_edges = _PAYLOAD_PREFIX.unpack_from(blob, 0)
-    view = memoryview(blob)[_PAYLOAD_PREFIX.size:]
-    freq_u = _array_from("q", view, num_freq)
-    view = view[num_freq * 8:]
-    freq_v = _array_from("q", view, num_freq)
-    view = view[num_freq * 8:]
-    values = _array_from("d", view, num_freq)
-    view = view[num_freq * 8:]
-    alphas = _array_from("d", view, num_levels)
-    view = view[num_levels * 8:]
-    counts = _array_from("Q", view, num_levels)
-    view = view[num_levels * 8:]
-    edge_u = _array_from("q", view, num_edges)
-    view = view[num_edges * 8:]
-    edge_v = _array_from("q", view, num_edges)
-    levels: list = []
-    cursor = 0
-    for k in range(num_levels):
-        count = counts[k]
-        levels.append(
-            EdgeDecompositionLevel(
-                alphas[k],
-                [
-                    (edge_u[e], edge_v[e])
-                    for e in range(cursor, cursor + count)
-                ],
-            )
-        )
-        cursor += count
-    if cursor != num_edges:
-        raise TCIndexError("snapshot level edge counts disagree with total")
+    keys, values, alphas, counts, edge_u, edge_v = _parse_payload(blob, 2)
     return EdgeTrussDecomposition(
         pattern=pattern,
-        levels=levels,
-        frequencies={
-            (freq_u[i], freq_v[i]): values[i] for i in range(num_freq)
-        },
+        levels=_levels_of(
+            EdgeDecompositionLevel, alphas, counts, edge_u, edge_v
+        ),
+        frequencies=_edge_frequencies(keys, values),
+    )
+
+
+def _view_edge_payload(pattern: Pattern, blob) -> NodeView:
+    keys, values, alphas, counts, edge_u, edge_v = _parse_payload(blob, 2)
+    return NodeView(
+        pattern,
+        LevelView(alphas, counts, edge_u, edge_v),
+        _edge_frequencies(keys, values),
+        edge_vertex_frequencies,
     )
 
 
 def _decode_payload(pattern: Pattern, blob) -> TrussDecomposition:
-    if len(blob) < _PAYLOAD_PREFIX.size:
-        raise TCIndexError("truncated snapshot payload")
-    num_freq, num_levels, num_edges = _PAYLOAD_PREFIX.unpack_from(blob, 0)
-    view = memoryview(blob)[_PAYLOAD_PREFIX.size:]
-    vertices = _array_from("q", view, num_freq)
-    view = view[num_freq * 8:]
-    values = _array_from("d", view, num_freq)
-    view = view[num_freq * 8:]
-    alphas = _array_from("d", view, num_levels)
-    view = view[num_levels * 8:]
-    counts = _array_from("Q", view, num_levels)
-    view = view[num_levels * 8:]
-    edge_u = _array_from("q", view, num_edges)
-    view = view[num_edges * 8:]
-    edge_v = _array_from("q", view, num_edges)
-    levels: list[DecompositionLevel] = []
-    cursor = 0
-    for k in range(num_levels):
-        count = counts[k]
-        levels.append(
-            DecompositionLevel(
-                alphas[k],
-                [
-                    (edge_u[e], edge_v[e])
-                    for e in range(cursor, cursor + count)
-                ],
-            )
-        )
-        cursor += count
-    if cursor != num_edges:
-        raise TCIndexError("snapshot level edge counts disagree with total")
+    keys, values, alphas, counts, edge_u, edge_v = _parse_payload(blob, 1)
     return TrussDecomposition(
         pattern=pattern,
-        levels=levels,
-        frequencies=dict(zip(vertices, values)),
+        levels=_levels_of(DecompositionLevel, alphas, counts, edge_u, edge_v),
+        frequencies=dict(zip(keys[0], values)),
+    )
+
+
+def _view_payload(pattern: Pattern, blob) -> NodeView:
+    """A vertex payload straight into its serving view: the edge arrays
+    are kept as parsed, with no per-edge tuples or levels."""
+    keys, values, alphas, counts, edge_u, edge_v = _parse_payload(blob, 1)
+    return NodeView(
+        pattern,
+        LevelView(alphas, counts, edge_u, edge_v),
+        dict(zip(keys[0], values)),
+        vertex_frequencies,
     )
 
 
@@ -380,9 +398,9 @@ class TCTreeSnapshot:
     Opening parses only the header and the table of contents: the item,
     parent link, payload extent, and pruning threshold of every node.
     Patterns and the child adjacency come from that alone; a node's
-    decomposition is decoded from its payload slice only when
-    :meth:`decode` is called (the engine does so only for retrieved
-    nodes, through its LRU cache).
+    payload is read only when asked for — by :meth:`view` (the query
+    engine's cache fill, for retrieved nodes only) or by :meth:`decode`
+    (a full decomposition, for materializing a tree).
     """
 
     def __init__(self, buffer, path: Path | None = None) -> None:
@@ -521,12 +539,18 @@ class TCTreeSnapshot:
 
         Returns a :class:`TrussDecomposition` on vertex snapshots and an
         :class:`~repro.edgenet.decomposition.EdgeTrussDecomposition` on
-        edge ones — both answer ``truss_at``/``max_alpha``, which is all
-        the query engine needs.
+        edge ones (what :meth:`materialize_tree` and overlays build on).
         """
         start = self._payload_off + self.offsets[index]
         blob = self._buffer[start: start + self.lengths[index]]
         return self._spec.decode_payload(self._patterns[index], blob)
+
+    def view(self, index: int) -> NodeView:
+        """Node ``index`` as a serving :class:`NodeView`, built straight
+        from its payload arrays (what the query engine caches)."""
+        start = self._payload_off + self.offsets[index]
+        blob = self._buffer[start: start + self.lengths[index]]
+        return self._spec.view_payload(self._patterns[index], blob)
 
     def node_index(self, pattern: Pattern) -> int | None:
         """TOC index of ``pattern``, or ``None`` if it is not a node.

@@ -68,6 +68,17 @@ class TestAttributedSearch:
             attributed_community_search(tree, [v5], [0, 1], limit=1)
         ) == 1
 
+    def test_negative_limit_rejected(self, toy_network):
+        tree = build_tc_tree(toy_network)
+        v5 = _vertex(toy_network, 5)
+        with pytest.raises(MiningError, match="limit"):
+            attributed_community_search(tree, [v5], [0, 1], limit=-1)
+
+    def test_zero_limit_returns_nothing(self, toy_network):
+        tree = build_tc_tree(toy_network)
+        v5 = _vertex(toy_network, 5)
+        assert attributed_community_search(tree, [v5], [0, 1], limit=0) == []
+
     def test_empty_queries_rejected(self, toy_network):
         tree = build_tc_tree(toy_network)
         with pytest.raises(MiningError):

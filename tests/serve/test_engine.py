@@ -97,6 +97,28 @@ class TestCarrierCache:
         assert cache.get(3) == "c"
         assert len(cache) == 2
 
+    def test_scan_keeps_hot_entries(self):
+        """Misses enter at the LRU end, so a scan of cold keys recycles
+        one slot; under plain LRU it would flush the hot entry."""
+        cache = CarrierCache(capacity=2)
+        cache.put(1, "a")
+        cache.put(2, "b")
+        assert cache.get(2) == "b"  # 2 is hot
+        for key in (3, 4, 5):
+            assert cache.get(key) is None
+            cache.put(key, str(key))
+        assert cache.get(2) == "b"
+        assert cache.get(5) == "5"  # the last scanned key, now promoted
+        assert cache.get(1) is None and cache.get(3) is None
+
+    def test_duplicate_fill_keeps_size(self):
+        cache = CarrierCache(capacity=2)
+        cache.put(1, "a")
+        cache.put(1, "a2")  # a concurrent miss filled it twice
+        cache.put(2, "b")
+        assert len(cache) == 2
+        assert cache.get(1) == "a2"
+
     def test_hit_miss_counters(self):
         cache = CarrierCache(capacity=4)
         assert cache.get(7) is None

@@ -195,6 +195,22 @@ class TestSearchEndpoint:
         assert excinfo.value.code == 400
         assert "attributes" in json.load(excinfo.value)["error"]
 
+    def test_search_negative_limit_400(self, running_server, toy_warehouse):
+        """limit=-1 once sliced off the last match; now it is refused."""
+        base, _engine = running_server
+        members = self._query_pair(toy_warehouse)
+        vertex_param = ",".join(str(v) for v in members)
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(
+                base + f"/search?vertices={vertex_param}&attributes=0,1"
+                "&limit=-1",
+                timeout=10,
+            )
+        assert excinfo.value.code == 400
+        body = json.load(excinfo.value)
+        assert body["type"] == "MiningError"
+        assert "limit" in body["error"]
+
     def test_search_bad_alpha_400(self, running_server):
         base, _engine = running_server
         with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -254,6 +270,17 @@ class TestMetricsEndpoint:
         assert breakdown["visited_nodes"] >= breakdown["retrieved_nodes"]
         assert breakdown["toc_seconds"] >= 0.0
         assert breakdown["decode_seconds"] >= 0.0
+        assert breakdown["view_seconds"] >= 0.0
+
+    def test_metrics_split_decode_from_view(self, running_server):
+        base, _engine = running_server
+        _get(base, "/query?alpha=0.0")
+        text, _content_type = self._metrics_text(base)
+        for phase in ("toc", "decode", "view"):
+            assert (
+                f'repro_engine_query_phase_seconds_total{{phase="{phase}"}}'
+                in text
+            )
 
 
 class TestErrorHandling:
@@ -395,6 +422,93 @@ class TestErrorHandling:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
         assert excinfo.value.code == 400
+
+
+class _CountingWriter:
+    """Wraps a handler's ``wfile`` and records the size of each write."""
+
+    def __init__(self, inner, writes: list) -> None:
+        self._inner = inner
+        self._writes = writes
+
+    def write(self, data) -> int:
+        self._writes.append(len(data))
+        return self._inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+class TestTransport:
+    """Responses leave in one write on a TCP_NODELAY socket, so a
+    keep-alive client never waits out a delayed ACK."""
+
+    @pytest.fixture()
+    def recording_server(self, toy_snapshot_path):
+        import socket
+
+        from repro.serve.server import WarehouseRequestHandler
+
+        log: dict = {"writes": [], "nodelay": []}
+
+        class RecordingHandler(WarehouseRequestHandler):
+            def setup(self) -> None:
+                super().setup()
+                log["nodelay"].append(
+                    self.connection.getsockopt(
+                        socket.IPPROTO_TCP, socket.TCP_NODELAY
+                    )
+                )
+                self.wfile = _CountingWriter(self.wfile, log["writes"])
+
+        engine = IndexedWarehouse.open(toy_snapshot_path)
+        server, _thread = start_server_thread(engine)
+        server.RequestHandlerClass = RecordingHandler
+        yield server.server_address[1], log
+        server.shutdown()
+        server.server_close()
+        engine.close()
+
+    def test_one_write_per_response_with_nodelay(self, recording_server):
+        import http.client
+
+        port, log = recording_server
+        connection = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        try:
+            paths = ["/healthz", "/query?alpha=0.0", "/stats", "/metrics", "/nope"]
+            for path in paths:
+                connection.request("GET", path)
+                response = connection.getresponse()
+                body = response.read()
+                assert len(log["writes"]) == 1
+                # The single write carried the headers and the whole body.
+                assert log["writes"][0] > len(body) > 0
+                log["writes"].clear()
+        finally:
+            connection.close()
+        assert log["nodelay"] and all(log["nodelay"])
+
+    def test_keepalive_round_trip_median_under_20ms(self, running_server):
+        import http.client
+        import statistics
+        import time
+
+        base, _engine = running_server
+        connection = http.client.HTTPConnection(
+            base.removeprefix("http://"), timeout=10
+        )
+        try:
+            times = []
+            for _ in range(20):
+                start = time.perf_counter()
+                connection.request("GET", "/healthz")
+                connection.getresponse().read()
+                times.append(time.perf_counter() - start)
+        finally:
+            connection.close()
+        # A response split over two sends stalls ~40 ms on the client's
+        # delayed ACK; a whole one costs well under a millisecond.
+        assert statistics.median(times) < 0.020
 
 
 class TestConcurrency:
