@@ -101,11 +101,16 @@ def _vertex_decomposition(levels, draw_freq) -> TrussDecomposition:
     )
 
 
-def _edge_decomposition(levels, draw_freq) -> EdgeTrussDecomposition:
+def _edge_decomposition(levels, draw_freq, draw_flip) -> EdgeTrussDecomposition:
+    # Frequency keys may name an edge in either orientation.
     return EdgeTrussDecomposition(
         pattern=(1,),
         levels=[EdgeDecompositionLevel(a, list(r)) for a, r in levels],
-        frequencies={e: draw_freq(e) for _, removed in levels for e in removed},
+        frequencies={
+            ((v, u) if draw_flip() else (u, v)): draw_freq((u, v))
+            for _, removed in levels
+            for u, v in removed
+        },
     )
 
 
@@ -116,7 +121,9 @@ def decompositions(draw):
     values = st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0])
     if model == "vertex":
         return _vertex_decomposition(levels, lambda _: draw(values))
-    return _edge_decomposition(levels, lambda _: draw(values))
+    return _edge_decomposition(
+        levels, lambda _: draw(values), lambda: draw(st.booleans())
+    )
 
 
 class TestViewParity:
